@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use bench::{f2, mean, timed, write_artifact, Table};
+use bench::{f2, mean, parse_args, timed, write_artifact, Table};
 use wfsort_native::{ChaosParticipation, ChaosPlan, NativeAllocation, SortJob, WaitFreeSorter};
 
 const WORKERS: usize = 4;
@@ -91,7 +91,7 @@ fn chaos_run(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = parse_args(["--quick"], None);
     let n = if quick { 5_000 } else { 50_000 };
     let seeds: u64 = if quick { 4 } else { 25 };
 

@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use bench::{f2, timed, write_artifact, Table};
+use bench::{f2, parse_args, timed, write_artifact, Table};
 use pram::failure::FailurePlan;
 use pram::{ExploreReport, Explorer, Pid, ScheduleScript, Word};
 use wfsort::{Phase, PhaseTarget};
@@ -39,7 +39,7 @@ fn depth_profile(report: &ExploreReport) -> String {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let [smoke] = parse_args(["--smoke"], None);
     let mut records: Vec<String> = Vec::new();
 
     // Part 1: exhaustive bounded-preemption enumeration of tiny shapes.

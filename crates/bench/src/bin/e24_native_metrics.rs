@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 
 use bench::json::NATIVE_METRICS_SCHEMA;
-use bench::{f2, timed, validate_native_metrics, write_artifact, Table};
+use bench::{f2, parse_args, timed, validate_native_metrics, write_artifact, Table};
 use rng::rngs::StdRng;
 use rng::{seq::SliceRandom, Rng, SeedableRng};
 use wfsort_native::{NativeAllocation, SortOptions, SortReport, WaitFreeSorter};
@@ -141,35 +141,10 @@ fn json_record(r: &Run) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(at) = args.iter().position(|a| a == "--validate") {
-        let path = match args.get(at + 1) {
-            Some(p) => p,
-            None => {
-                eprintln!("--validate needs a path");
-                return ExitCode::FAILURE;
-            }
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: could not read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_native_metrics(&text) {
-            Ok(runs) => {
-                println!("{path}: valid {NATIVE_METRICS_SCHEMA} with {runs} runs");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let quick = args.iter().any(|a| a == "--quick");
+    let [quick] = parse_args(
+        ["--quick"],
+        Some((NATIVE_METRICS_SCHEMA, validate_native_metrics)),
+    );
     let n = if quick { 20_000 } else { 200_000 };
     let thread_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
 

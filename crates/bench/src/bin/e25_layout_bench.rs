@@ -27,7 +27,7 @@
 use std::process::ExitCode;
 
 use bench::json::LAYOUT_SCHEMA;
-use bench::{f2, timed, validate_layout_bench, write_artifact, Table};
+use bench::{f2, parse_args, timed, validate_layout_bench, write_artifact, Table};
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
 use wfsort_native::{recommended_grain, SortOptions, SortOutcome};
@@ -43,35 +43,7 @@ fn solo_with_report(keys: &[u64], grain: usize) -> SortOutcome<u64> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(at) = args.iter().position(|a| a == "--validate") {
-        let path = match args.get(at + 1) {
-            Some(p) => p,
-            None => {
-                eprintln!("--validate needs a path");
-                return ExitCode::FAILURE;
-            }
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: could not read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_layout_bench(&text) {
-            Ok(entries) => {
-                println!("{path}: valid {LAYOUT_SCHEMA} with {entries} entries");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let quick = args.iter().any(|a| a == "--quick");
+    let [quick] = parse_args(["--quick"], Some((LAYOUT_SCHEMA, validate_layout_bench)));
     // E25b — the analytical ledger: cache lines touched per traversal
     // step. The per-phase operation counts are layout-independent (they
     // equal the PRAM simulator's, pinned by

@@ -5,11 +5,9 @@
 //! counter pins that make the sharded phases' claim traffic exact, and
 //! the E26d/E28 adversarial-shape battery proving the duplicate-robust
 //! partitioner holds `imbalance ≤ τ` on the shapes that break naive
-//! splitter sampling, the E26e/E29 classify-kernel A/B with the
-//! fused-histogram Fill-entry pin, and the E26f/E30 partition-strategy
-//! A/B pinning the in-place exchange's `aux_bytes ≤ B·P·8` cap and its
-//! strictly-smaller memory-traffic ledger — persisted as the
-//! schema-stable `BENCH_sharded.json` (v4) perf artifact.
+//! splitter sampling, and the E26e/E29 classify-kernel A/B with the
+//! fused-histogram Fill-entry pin — persisted as the schema-stable
+//! `BENCH_sharded.json` (v5) perf artifact.
 //!
 //! The sharded path ([`wfsort_native::ShardedSortJob`]) oversamples
 //! `S · overpartition_factor` splitter candidates, deduplicates them,
@@ -36,12 +34,11 @@
 use std::process::ExitCode;
 
 use bench::json::SHARDED_SCHEMA;
-use bench::{f2, timed, validate_sharded_bench, write_artifact, Table};
+use bench::{f2, parse_args, timed, validate_sharded_bench, write_artifact, Table};
 use wait_free_sort::testshapes;
 use wfsort_native::{
-    piece_by_search, ClassifyKernel, MetricSlot, NativeAllocation, PartitionStrategy,
-    RunToCompletion, ShardConfig, ShardedSortJob, SortJob, SortOptions, SortOutcome,
-    SplitterLadder,
+    piece_by_search, ClassifyKernel, MetricSlot, NativeAllocation, RunToCompletion, ShardConfig,
+    ShardedSortJob, SortJob, SortOptions, SortOutcome, SplitterLadder,
 };
 
 /// The throughput-sweep trio (the E24/E25 lineage, now drawn from the
@@ -168,35 +165,7 @@ fn time_classify(keys: &[u64], splitters: &[u64], kernel: ClassifyKernel, repeat
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(at) = args.iter().position(|a| a == "--validate") {
-        let path = match args.get(at + 1) {
-            Some(p) => p,
-            None => {
-                eprintln!("--validate needs a path");
-                return ExitCode::FAILURE;
-            }
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: could not read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_sharded_bench(&text) {
-            Ok(entries) => {
-                println!("{path}: valid {SHARDED_SCHEMA} with {entries} entries");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let quick = args.iter().any(|a| a == "--quick");
+    let [quick] = parse_args(["--quick"], Some((SHARDED_SCHEMA, validate_sharded_bench)));
     let n = if quick { 20_000 } else { 100_000 };
     let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
     let shard_counts: &[usize] = if quick { &[8, 64] } else { &[8, 64, 256] };
@@ -599,127 +568,6 @@ fn main() -> ExitCode {
          fill-entry setup pinned at B·P)"
     ));
 
-    // E26f — partition-strategy A/B (EXPERIMENTS.md E30, the ISSUE-10
-    // memory-traffic ledger). For every throughput shape, the same keys
-    // are sorted by an instrumented lone worker under both strategies.
-    // Four claims are asserted in-binary before anything reaches the
-    // artifact (the validator then recomputes them from the rows):
-    // the permutations are bit-identical; the in-place run's auxiliary
-    // allocation is at most the B·P·8 destination-offset table (the
-    // materialized run's N-word bucket buffer is gone); the in-place
-    // Fill/publish pipeline touches strictly fewer shared-array bytes;
-    // and a crash-free run never tears a unit (cycle_restarts = 0).
-    let n_inplace = if quick { 20_000 } else { 1_000_000 };
-    let mut inplace = Vec::new();
-    let mut f = Table::new(&[
-        "shape",
-        "shards",
-        "aux inpl",
-        "aux mat",
-        "bytes inpl",
-        "bytes mat",
-        "saved",
-        "moves inpl/mat",
-    ]);
-    for (shape, keys) in shapes(n_inplace) {
-        for &shards in &[8usize, 64] {
-            let run = |strategy: PartitionStrategy| {
-                let job = ShardedSortJob::with_config(
-                    keys.to_vec(),
-                    NativeAllocation::Deterministic,
-                    1,
-                    shards,
-                    ShardConfig {
-                        partition_strategy: strategy,
-                        ..ShardConfig::default()
-                    },
-                );
-                let slot = MetricSlot::new();
-                job.participate_instrumented(&mut RunToCompletion, &slot);
-                let m = slot.snapshot();
-                let bytes = m.phases.fill.bytes_touched + m.phases.shard_sort.bytes_touched;
-                let (blocks, pieces) = (job.partition_blocks(), job.buckets());
-                (job.permutation(), job.shard_report(), bytes, blocks, pieces)
-            };
-            let (mat_perm, mat_report, mat_bytes, blocks, pieces) =
-                run(PartitionStrategy::Materialized);
-            let (inp_perm, inp_report, inp_bytes, _, _) = run(PartitionStrategy::InPlace);
-            assert!(
-                perm_is_sorted(&keys, &inp_perm),
-                "in-place output unsorted at {shards}x{shape}"
-            );
-            assert_eq!(
-                inp_perm, mat_perm,
-                "strategy permutation mismatch at {shards}x{shape}"
-            );
-            assert_eq!(inp_report.strategy, PartitionStrategy::InPlace);
-            let aux_cap = (blocks * pieces) as u64 * 8;
-            assert!(
-                inp_report.aux_bytes <= aux_cap,
-                "{shape} S={shards}: in-place aux {} bytes exceeds the \
-                 B·P·8 cap {aux_cap}",
-                inp_report.aux_bytes
-            );
-            assert!(
-                inp_bytes < mat_bytes,
-                "{shape} S={shards}: in-place ledger {inp_bytes} bytes not \
-                 strictly below materialized {mat_bytes}"
-            );
-            assert!(
-                inp_report.moves <= mat_report.moves,
-                "{shape} S={shards}: in-place moved {} elements, \
-                 materialized {}",
-                inp_report.moves,
-                mat_report.moves
-            );
-            assert_eq!(
-                inp_report.cycle_restarts, 0,
-                "{shape} S={shards}: crash-free run tore a unit"
-            );
-            let saved = 100.0 * (1.0 - inp_bytes as f64 / mat_bytes as f64);
-            f.row(vec![
-                shape.into(),
-                shards.to_string(),
-                inp_report.aux_bytes.to_string(),
-                mat_report.aux_bytes.to_string(),
-                inp_bytes.to_string(),
-                mat_bytes.to_string(),
-                format!("{saved:.0}%"),
-                format!("{}/{}", inp_report.moves, mat_report.moves),
-            ]);
-            inplace.push(format!(
-                concat!(
-                    "{{\"shape\":\"{}\",\"n\":{},\"shards\":{},",
-                    "\"partition_blocks\":{},\"buckets\":{},",
-                    "\"aux_bytes\":{},\"aux_cap\":{},",
-                    "\"moves_inplace\":{},\"moves_materialized\":{},",
-                    "\"bytes_inplace\":{},\"bytes_materialized\":{},",
-                    "\"cycle_restarts\":{},\"sorted\":true,",
-                    "\"permutation_match\":true}}"
-                ),
-                shape,
-                n_inplace,
-                shards,
-                blocks,
-                pieces,
-                inp_report.aux_bytes,
-                aux_cap,
-                inp_report.moves,
-                mat_report.moves,
-                inp_bytes,
-                mat_bytes,
-                inp_report.cycle_restarts,
-            ));
-        }
-    }
-    f.print(&format!(
-        "E26f: partition-strategy A/B at N = {n_inplace} (lone instrumented \
-         worker; aux = bytes of auxiliary allocation beyond the output \
-         permutation, capped at B·P·8 in-place; bytes = Fill + shard-sort \
-         shared-array ledger, asserted strictly smaller in-place; every \
-         row's permutations matched element-for-element)"
-    ));
-
     let artifact = format!(
         "{{\"schema\":\"{SHARDED_SCHEMA}\",\"experiment\":\"e26_sharded_bench\",\
          \"quick\":{quick},\
@@ -727,14 +575,12 @@ fn main() -> ExitCode {
          \"balance\":[\n{}\n],\
          \"counter_pins\":[\n{}\n],\
          \"adversarial\":[\n{}\n],\
-         \"classify\":[\n{}\n],\
-         \"inplace\":[\n{}\n]}}\n",
+         \"classify\":[\n{}\n]}}\n",
         comparison.join(",\n"),
         balance.join(",\n"),
         counter_pins.join(",\n"),
         adversarial.join(",\n"),
         classify.join(",\n"),
-        inplace.join(",\n"),
     );
     // Self-gate before writing: a malformed artifact must never land.
     if let Err(e) = validate_sharded_bench(&artifact) {
@@ -772,12 +618,11 @@ fn main() -> ExitCode {
          into S shards of independent sequential leaf sorts, equality \
          buckets keep duplicate floods from re-serializing the split, and \
          the WAT machinery keeps the fault story: a crashed worker's \
-         shard is redone whole by survivors. The in-place exchange keeps \
-         the paper's low-contention discipline — disjoint writes, \
-         monotone slot states — while retiring the N-word bucket buffer \
-         for a B·P offset table. Timings above are from a single shared \
-         host; the permutation-parity, counter-pin, adversarial-balance, \
-         and memory-ledger columns are the load-bearing ones."
+         shard is redone whole by survivors, and every redone write \
+         stores the same value (the paper's write-all with idempotent \
+         redo). Timings above are from a single shared host; the \
+         permutation-parity, counter-pin and adversarial-balance columns \
+         are the load-bearing ones."
     );
     ExitCode::SUCCESS
 }

@@ -35,7 +35,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use bench::json::SERVICE_SCHEMA;
-use bench::{f2, timed, validate_service_bench, write_artifact, Table};
+use bench::{f2, parse_args, timed, validate_service_bench, write_artifact, Table};
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
 use wfsort_native::{ChaosPlan, JobError, JobOptions, Rejected, ServiceConfig, SortService};
@@ -52,32 +52,7 @@ fn sequential_sort(keys: &[u64]) -> Vec<u64> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(at) = args.iter().position(|a| a == "--validate") {
-        let Some(path) = args.get(at + 1) else {
-            eprintln!("usage: e27_service_bench --validate <path>");
-            return ExitCode::FAILURE;
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_service_bench(&text) {
-            Ok(entries) => {
-                println!("{path}: valid {SERVICE_SCHEMA} with {entries} entries");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let quick = args.iter().any(|a| a == "--quick");
+    let [quick] = parse_args(["--quick"], Some((SERVICE_SCHEMA, validate_service_bench)));
     let worker_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
 
     // E27a — latency and throughput with many tenants sharing the pool.

@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::{f2, Table};
+use bench::{f2, parse_args, Table};
 use wait_free_sort::testshapes;
 use wfsort_native::{JobOptions, ServiceConfig, SortService};
 
@@ -61,7 +61,7 @@ fn cell(service: &SortService<u64>, keys: &[u64], oracle: &[u64]) -> (f64, usize
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let [quick] = parse_args(["--quick"], None);
     let max_log = if quick { 14 } else { 17 };
     let sizes: Vec<usize> = (10..=max_log).map(|log| 1usize << log).collect();
     let shapes: [Shape; 4] = [

@@ -468,10 +468,10 @@ pub fn validate_layout_bench(text: &str) -> Result<usize, String> {
     Ok(cache_lines.len() + sweep.len())
 }
 
-/// The schema tag `e26_sharded_bench` writes. v4 added the required
-/// `inplace` section — the ISSUE-10 partition-strategy A/B rows with
-/// the auxiliary-memory cap and the memory-traffic-ledger pin.
-pub const SHARDED_SCHEMA: &str = "wfsort-native-sharded/v4";
+/// The schema tag `e26_sharded_bench` writes. v5 dropped v4's
+/// `inplace` section, the partition-strategy A/B, together with the
+/// in-place exchange it measured.
+pub const SHARDED_SCHEMA: &str = "wfsort-native-sharded/v5";
 
 /// Validates a `BENCH_sharded.json` document against the
 /// [`SHARDED_SCHEMA`] shape:
@@ -499,20 +499,12 @@ pub const SHARDED_SCHEMA: &str = "wfsort-native-sharded/v4";
 ///   Fill-entry pin: the validator recomputes `fill_setup_steps =
 ///   partition_blocks × buckets` (O(B·P), not O(n)) and requires the
 ///   lone instrumented run to have classified every block
-///   (`kernel_blocks = partition_blocks`);
-/// * `inplace` (required by v4): the partition-strategy A/B rows —
-///   every entry pins the auxiliary-memory bound (`aux_bytes <=
-///   aux_cap`, where `aux_cap = B·P·8` is recomputed from
-///   `partition_blocks × buckets × 8`), the memory-traffic ledger
-///   (`bytes_inplace < bytes_materialized`, strict), the move ledger
-///   (`moves_inplace <= moves_materialized`), a crash-free run
-///   (`cycle_restarts = 0`), and proof both strategies produced the
-///   identical permutation (`permutation_match`) and sorted.
+///   (`kernel_blocks = partition_blocks`).
 ///
 /// Any other schema tag, earlier versions included, is rejected.
 ///
 /// Returns the number of comparison + counter-pin + adversarial +
-/// classify + inplace entries.
+/// classify entries.
 pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
     let doc = Json::parse(text)?;
     match doc.get("schema").and_then(Json::as_str) {
@@ -778,89 +770,7 @@ pub fn validate_sharded_bench(text: &str) -> Result<usize, String> {
         }
     }
 
-    let inplace = doc
-        .get("inplace")
-        .and_then(Json::as_array)
-        .ok_or("inplace: missing or not an array (required by v4)")?;
-    if inplace.is_empty() {
-        return Err("inplace: empty".into());
-    }
-    for (at, entry) in inplace.iter().enumerate() {
-        if entry.get("shape").and_then(Json::as_str).is_none() {
-            return Err(format!("inplace[{at}].shape: missing or not a string"));
-        }
-        for key in [
-            "n",
-            "shards",
-            "partition_blocks",
-            "buckets",
-            "aux_bytes",
-            "aux_cap",
-            "moves_inplace",
-            "moves_materialized",
-            "bytes_inplace",
-            "bytes_materialized",
-            "cycle_restarts",
-        ] {
-            let v = entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("inplace[{at}].{key}: missing or not a number"))?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("inplace[{at}].{key}: not a non-negative integer"));
-            }
-        }
-        let get = |key: &str| entry.get(key).and_then(Json::as_f64).unwrap() as u64;
-        // The auxiliary-memory claim, recomputed: the in-place exchange
-        // allocates only the B·P destination-offset table, never an
-        // N-sized output buffer.
-        let cap = get("partition_blocks") * get("buckets") * 8;
-        if get("aux_cap") != cap {
-            return Err(format!(
-                "inplace[{at}].aux_cap: {}, expected partition_blocks × buckets × 8 = {cap}",
-                get("aux_cap")
-            ));
-        }
-        if get("aux_bytes") > cap {
-            return Err(format!(
-                "inplace[{at}].aux_bytes: {} exceeds the B·P·8 cap {cap} \
-                 (the in-place exchange must not materialize the bucket buffer)",
-                get("aux_bytes")
-            ));
-        }
-        // The memory-traffic-ledger claim: the in-place Fill/publish
-        // pipeline touches strictly fewer shared-array bytes than the
-        // materialized one on every shape.
-        if get("bytes_inplace") >= get("bytes_materialized") {
-            return Err(format!(
-                "inplace[{at}].bytes_inplace: {} not strictly below \
-                 bytes_materialized = {}",
-                get("bytes_inplace"),
-                get("bytes_materialized")
-            ));
-        }
-        if get("moves_inplace") > get("moves_materialized") {
-            return Err(format!(
-                "inplace[{at}].moves_inplace: {} exceeds moves_materialized = {}",
-                get("moves_inplace"),
-                get("moves_materialized")
-            ));
-        }
-        if get("cycle_restarts") != 0 {
-            return Err(format!(
-                "inplace[{at}].cycle_restarts: {}, expected 0 (a crash-free run \
-                 never tears a unit)",
-                get("cycle_restarts")
-            ));
-        }
-        for key in ["sorted", "permutation_match"] {
-            if entry.get(key).and_then(Json::as_bool) != Some(true) {
-                return Err(format!("inplace[{at}].{key}: missing or not true"));
-            }
-        }
-    }
-
-    Ok(comparison.len() + pins.len() + adversarial.len() + classify.len() + inplace.len())
+    Ok(comparison.len() + pins.len() + adversarial.len() + classify.len())
 }
 
 /// The schema tag `e27_service_bench` writes. v2 added the `fairness`
@@ -1327,22 +1237,13 @@ mod tests {
                       "kernel_blocks": 8, "classify_steps": 100000,
                       "fill_setup_steps": 120, "sorted": true,
                       "permutation_match": true}}
-                ],
-                "inplace": [
-                    {{"shape": "uniform-random", "n": 20000, "shards": 8,
-                      "partition_blocks": 8, "buckets": 15,
-                      "aux_bytes": 960, "aux_cap": 960,
-                      "moves_inplace": 39000, "moves_materialized": 40000,
-                      "bytes_inplace": 500000, "bytes_materialized": 640000,
-                      "cycle_restarts": 0, "sorted": true,
-                      "permutation_match": true}}
                 ]}}"#
         )
     }
 
     #[test]
     fn accepts_a_valid_sharded_document() {
-        assert_eq!(validate_sharded_bench(&valid_sharded_doc()), Ok(5));
+        assert_eq!(validate_sharded_bench(&valid_sharded_doc()), Ok(4));
     }
 
     #[test]
@@ -1353,6 +1254,7 @@ mod tests {
             "wfsort-native-sharded/v1",
             "wfsort-native-sharded/v2",
             "wfsort-native-sharded/v3",
+            "wfsort-native-sharded/v4",
         ] {
             let doc = valid_sharded_doc().replace(SHARDED_SCHEMA, earlier);
             assert_eq!(
@@ -1363,57 +1265,13 @@ mod tests {
 
         // The current tag requires every section the earlier tags
         // introduced.
-        for section in ["adversarial", "classify", "inplace"] {
+        for section in ["adversarial", "classify"] {
             let missing =
                 valid_sharded_doc().replace(&format!(r#""{section}": ["#), r#""renamed": ["#);
             assert!(validate_sharded_bench(&missing)
                 .unwrap_err()
                 .contains(section));
         }
-    }
-
-    #[test]
-    fn sharded_validator_enforces_inplace_ledger_pins() {
-        // Auxiliary memory above the B·P·8 cap means the "in-place"
-        // exchange quietly materialized a buffer — a hard failure.
-        let doc = valid_sharded_doc().replace(r#""aux_bytes": 960"#, r#""aux_bytes": 961"#);
-        let err = validate_sharded_bench(&doc).unwrap_err();
-        assert!(err.contains("B·P·8 cap"), "unexpected error: {err}");
-
-        // The cap itself is recomputed from blocks × buckets × 8.
-        let doc = valid_sharded_doc().replace(r#""aux_cap": 960"#, r#""aux_cap": 1024"#);
-        assert!(validate_sharded_bench(&doc)
-            .unwrap_err()
-            .contains("aux_cap"));
-
-        // The traffic ledger is a strict inequality: equal bytes means
-        // the in-place path saved nothing.
-        let doc =
-            valid_sharded_doc().replace(r#""bytes_inplace": 500000"#, r#""bytes_inplace": 640000"#);
-        assert!(validate_sharded_bench(&doc)
-            .unwrap_err()
-            .contains("bytes_inplace"));
-
-        let doc =
-            valid_sharded_doc().replace(r#""moves_inplace": 39000"#, r#""moves_inplace": 40001"#);
-        assert!(validate_sharded_bench(&doc)
-            .unwrap_err()
-            .contains("moves_inplace"));
-
-        let doc = valid_sharded_doc().replace(r#""cycle_restarts": 0"#, r#""cycle_restarts": 2"#);
-        assert!(validate_sharded_bench(&doc)
-            .unwrap_err()
-            .contains("cycle_restarts"));
-
-        let doc = valid_sharded_doc().replace(
-            r#""cycle_restarts": 0, "sorted": true,
-                      "permutation_match": true"#,
-            r#""cycle_restarts": 0, "sorted": true,
-                      "permutation_match": false"#,
-        );
-        assert!(validate_sharded_bench(&doc)
-            .unwrap_err()
-            .contains("inplace[0].permutation_match"));
     }
 
     #[test]

@@ -14,6 +14,88 @@ pub use json::{
     validate_layout_bench, validate_native_metrics, validate_service_bench, validate_sharded_bench,
 };
 
+/// An artifact check for [`parse_args`]: the schema tag it accepts,
+/// and the validator, which returns the document's entry count.
+type Validator = (&'static str, fn(&str) -> Result<usize, String>);
+
+/// What a command line asks a binary to do.
+#[derive(Debug, PartialEq, Eq)]
+enum Command<const N: usize> {
+    /// Run the experiment; entry `i` says whether `flags[i]` was given.
+    Run([bool; N]),
+    /// Check the artifact at this path and exit.
+    Validate(String),
+}
+
+/// Parses `args` (program name excluded) against the switches a binary
+/// takes. `--validate <path>`, alone, is accepted only from a binary
+/// with a validator; anything else that is not one of `flags` is a
+/// usage error (`None`).
+fn parse_command<const N: usize>(
+    args: &[String],
+    flags: [&str; N],
+    validates: bool,
+) -> Option<Command<N>> {
+    if let [switch, path] = args {
+        if validates && switch == "--validate" {
+            return Some(Command::Validate(path.clone()));
+        }
+    }
+    let mut given = [false; N];
+    for arg in args {
+        given[flags.iter().position(|f| f == arg)?] = true;
+    }
+    Some(Command::Run(given))
+}
+
+/// The command-line front door of every experiment binary that takes
+/// arguments. Returns which of `flags` were given, in `flags` order.
+///
+/// With a `validator` — the schema tag it accepts, and the check,
+/// which returns the document's entry count — `--validate <path>`
+/// checks that artifact instead of running the experiment, and exits:
+/// status 0 if it is valid, 1 if not. Any argument the binary does not
+/// take — an unknown flag, a stray value, `--validate` where there is
+/// no validator — prints a usage line and exits with status 2 before
+/// any work starts.
+pub fn parse_args<const N: usize>(flags: [&str; N], validator: Option<Validator>) -> [bool; N] {
+    let mut argv = std::env::args();
+    let program = argv.next().unwrap_or_default();
+    let name = std::path::Path::new(&program)
+        .file_name()
+        .map_or(program.clone(), |s| s.to_string_lossy().into_owned());
+    let args: Vec<String> = argv.collect();
+    match parse_command(&args, flags, validator.is_some()) {
+        Some(Command::Run(given)) => given,
+        Some(Command::Validate(path)) => {
+            let (schema, validate) = validator.expect("parsed only with a validator");
+            let checked = std::fs::read_to_string(&path)
+                .map_err(|e| format!("could not read it: {e}"))
+                .and_then(|text| validate(&text));
+            match checked {
+                Ok(entries) => {
+                    println!("{path}: valid {schema} with {entries} entries");
+                    std::process::exit(0);
+                }
+                Err(e) => {
+                    eprintln!("error: {path}: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        None => {
+            let switches: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+            let validate = match validator {
+                Some(_) => format!(" | {name} --validate <path>"),
+                None => String::new(),
+            };
+            eprintln!("error: unexpected arguments {args:?}");
+            eprintln!("usage: {name}{switches}{validate}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The artifact directory, if `BENCH_OUTPUT_DIR` is set — created on
 /// first use, so pointing the variable at a fresh path just works.
 fn output_dir() -> Option<PathBuf> {
@@ -250,6 +332,45 @@ mod tests {
         assert_eq!(s.chars().nth(1), Some('█'));
         // Zero scale never panics.
         assert_eq!(sparkline(&[5], 1, 0), " ");
+    }
+
+    #[test]
+    fn command_lines_parse_strictly() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_command(&args(&[]), ["--quick"], true),
+            Some(Command::Run([false]))
+        );
+        assert_eq!(
+            parse_command(&args(&["--quick"]), ["--quick"], false),
+            Some(Command::Run([true]))
+        );
+        assert_eq!(
+            parse_command(&args(&["--validate", "a.json"]), ["--quick"], true),
+            Some(Command::Validate("a.json".into()))
+        );
+        // No validator, a missing path, a stray value, an unknown flag,
+        // or `--validate` mixed with a run flag: all usage errors.
+        for bad in [
+            &["--validate", "a.json"][..],
+            &["--validate"],
+            &["--quick", "extra"],
+            &["--smoke"],
+        ] {
+            assert_eq!(
+                parse_command(&args(bad), ["--quick"], false),
+                None,
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            parse_command(
+                &args(&["--validate", "a.json", "--quick"]),
+                ["--quick"],
+                true
+            ),
+            None
+        );
     }
 
     #[test]

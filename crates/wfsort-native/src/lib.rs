@@ -95,8 +95,8 @@ pub use service::{
     SortService,
 };
 pub use shard::{
-    piece_by_search, recommended_shards, ClassifyKernel, PartitionStrategy, ShardConfig,
-    ShardedSortJob, SplitterLadder, IN_PLACE_AUTO_MIN, LADDER_AUTO_MAX_SPLITTERS,
+    piece_by_search, recommended_shards, ClassifyKernel, ShardConfig, ShardedSortJob,
+    SplitterLadder, LADDER_AUTO_MAX_SPLITTERS,
 };
 pub use sorter::{sort_with_churn, SortOptions, SortOutcome, UntilFlag, WaitFreeSorter};
 pub use tree::{SharedTree, Side, EMPTY};

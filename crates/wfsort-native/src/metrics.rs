@@ -27,7 +27,6 @@
 use std::cell::Cell;
 use std::time::Duration;
 
-use crate::shard::PartitionStrategy;
 use crate::watchdog::SortPhase;
 
 /// Phase-1 (build) counters.
@@ -101,14 +100,11 @@ pub struct ShardPhaseMetrics {
     /// already represent that work at element granularity.
     pub classify_steps: u64,
     /// Shared-array and key bytes this worker read or wrote in the
-    /// phase — the memory-traffic ledger behind the
-    /// [`crate::PartitionStrategy`] bandwidth claim (E26f). Counts
+    /// phase — the sharded path's memory-traffic ledger. Counts
     /// `keys`/`piece_of`/histogram/`bucket`/`out_perm` traffic plus key
     /// clones into the leaf sorts' pair buffers; private scratch
     /// bookkeeping and the leaf sorts' own passes over those buffers
-    /// (identical on both strategies) are excluded, so the
-    /// materialized-vs-in-place delta is exactly the intermediate-buffer
-    /// traffic.
+    /// are excluded.
     pub bytes_touched: u64,
 }
 
@@ -271,26 +267,17 @@ pub struct ShardReport {
     /// ([`crate::ShardConfig::max_shard_imbalance`]) — compare against
     /// the achieved [`ShardReport::imbalance`].
     pub requested_imbalance: f64,
-    /// The resolved [`PartitionStrategy`] the job ran under — never
-    /// [`PartitionStrategy::Auto`], which the constructor resolves by
-    /// input size ([`crate::IN_PLACE_AUTO_MIN`]).
-    pub strategy: PartitionStrategy,
     /// Auxiliary bytes the Fill/shard pipeline allocated beyond the
     /// output permutation itself: the `B·P·8` destination-offset table
-    /// alone under [`PartitionStrategy::InPlace`], plus the `n·8`
-    /// bucket intermediate under [`PartitionStrategy::Materialized`].
-    /// E26f pins the in-place value at exactly `B·P·8`.
+    /// plus the `n·8` `bucket` staging array.
     pub aux_bytes: u64,
     /// Element moves (slot writes) across fill + shard publication,
-    /// redone and raced duplicates included. A crash-free materialized
-    /// run moves every element twice (bucket, then output); in-place
-    /// moves every element once plus one republication per range slot.
+    /// redone and raced duplicates included. A crash-free run moves
+    /// every element twice (bucket, then output).
     pub moves: u64,
-    /// Times an in-place range unit was found torn (mixed
-    /// pending/final tags — a claimant crashed or raced mid-publish)
-    /// and its fill order was rebuilt from the stable classification.
-    /// Always zero under [`PartitionStrategy::Materialized`] and in
-    /// crash-free single-threaded runs.
+    /// Always 0. Every unit is published with plain idempotent stores,
+    /// so no unit is ever torn and rebuilt; the field stays so
+    /// `perfbench`, which reports it, keeps building.
     pub cycle_restarts: u64,
 }
 
@@ -432,14 +419,10 @@ pub(crate) trait Instrument {
     #[inline]
     fn phase_setup(&self, _steps: u64) {}
     /// `n` bytes of shared-array or key traffic on the sharded path
-    /// (routed by current phase) — the memory ledger behind the
-    /// [`PartitionStrategy`](crate::shard::PartitionStrategy)
-    /// bandwidth claim. Counts reads and writes of the shared arrays
-    /// (`keys`, `piece_of`, histograms, `bucket`, `out_perm`) plus key
-    /// clones into unit-sort inputs; private scratch bookkeeping is
-    /// excluded, and inner single-tree unit sorts are uninstrumented
-    /// for bytes (identical on both strategies, so the A/B delta is
-    /// unaffected).
+    /// (routed by current phase). Counts reads and writes of the shared
+    /// arrays (`keys`, `piece_of`, histograms, `bucket`, `out_perm`)
+    /// plus key clones into unit-sort inputs; private scratch
+    /// bookkeeping is excluded.
     #[inline]
     fn bytes(&self, _n: u64) {}
     /// The worker's own initial WAT assignment is complete; subsequent

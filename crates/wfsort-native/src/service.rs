@@ -1437,43 +1437,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_route_resolves_partition_strategy_by_size() {
-        // Every sharded-route job runs the default ShardConfig, whose
-        // Auto strategy resolves by input size: a job of
-        // IN_PLACE_AUTO_MIN keys runs in place, with aux memory pinned
-        // to the B·P offset table, and a 6 000-key job keeps the bucket
-        // intermediate.
-        let service = SortService::start(ServiceConfig::default().workers(2).sharded_cutoff(2_000));
-        let large = random_keys(crate::IN_PLACE_AUTO_MIN, 905);
-        let result = service
-            .submit(large.clone(), JobOptions::default())
-            .unwrap()
-            .wait();
-        assert_eq!(result.sorted.unwrap(), expect_sorted(&large));
-        let shard = result.report.sort.shard.expect("sharded payload");
-        assert_eq!(shard.strategy, crate::PartitionStrategy::InPlace);
-        assert_eq!(
-            shard.aux_bytes,
-            (shard.partition_blocks * shard.buckets.len()) as u64 * 8,
-            "in-place aux memory is the offsets table alone"
-        );
-
-        let keys = random_keys(6_000, 905);
-        let result = service
-            .submit(keys.clone(), JobOptions::default())
-            .unwrap()
-            .wait();
-        assert_eq!(result.sorted.unwrap(), expect_sorted(&keys));
-        let shard = result.report.sort.shard.expect("sharded payload");
-        assert_eq!(
-            shard.strategy,
-            crate::PartitionStrategy::Materialized,
-            "Auto below IN_PLACE_AUTO_MIN keeps the bucket intermediate"
-        );
-        service.shutdown();
-    }
-
-    #[test]
     fn tiny_and_small_jobs_flow_through() {
         let service =
             SortService::start(ServiceConfig::default().workers(2).small_sort_cutoff(512));

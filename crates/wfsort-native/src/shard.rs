@@ -59,13 +59,16 @@
 //! deliberate trade: claim traffic shrinks to `O(S)` for the longest
 //! phase, at the cost of redoing up to one shard's units per crash.
 //! Inside a shard the checkpoint grain is one work unit: `keep_going`
-//! is consulted at every unit boundary (and every
-//! [`PUBLISH_CONSULT_EVERY`] slots of an in-place publication), so the
-//! work between consults is one unit's `O(u log u)` leaf sort. An
-//! abandonment seen at any of those consults is latched and re-read by
-//! the WAT before the leaf is published, so a half-sorted shard is
-//! never marked complete (both WAT flavors gate publication on a final
-//! consult).
+//! is consulted at every unit boundary, so the work between consults
+//! is one unit's `O(u log u)` leaf sort. An abandonment seen at any of
+//! those consults is latched and re-read by the WAT before the leaf is
+//! published, so a half-sorted shard is never marked complete (both WAT
+//! flavors gate publication on a final consult). Every shared write in
+//! the pipeline — `piece_of`, the block histograms, the `bucket` fill
+//! and the unit publication into the output permutation — is a plain
+//! store of a value that is a pure function of the keys, so a redone or
+//! raced block or unit rewrites identical values: the paper's
+//! write-all with idempotent redo (§2.1).
 //!
 //! The splitter sample is taken at deterministic stride positions, so a
 //! job — and therefore every chaos replay over it — is a pure function
@@ -151,72 +154,6 @@ pub enum ClassifyKernel {
 /// item in ROADMAP.md.
 pub const LADDER_AUTO_MAX_SPLITTERS: usize = 1024;
 
-/// How the Fill phase stages the permutation — whether bucket contents
-/// are materialized into a separate N-sized intermediate array or
-/// exchanged (near-)in-place inside the output buffer itself.
-///
-/// Both strategies compute the identical stable permutation (the parity
-/// suite pins them bit-identical across shapes × kernels × chaos
-/// storms); the knob trades memory footprint and traffic against the
-/// simplicity of the materialized intermediate. Selected via
-/// [`ShardConfig::partition_strategy`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Resolve by input size at construction:
-    /// [`PartitionStrategy::InPlace`] at or past
-    /// [`IN_PLACE_AUTO_MIN`] keys (the regime where the extra N-word
-    /// intermediate is real memory), [`PartitionStrategy::Materialized`]
-    /// below it. The default; reads back resolved.
-    #[default]
-    Auto,
-    /// The PR-5 pipeline: Fill writes every element's index into a
-    /// separate N-sized `bucket` array, and the shard phase reads that
-    /// stable intermediate while publishing into the output
-    /// permutation. Auxiliary memory is `N·8 + B·P·8` bytes. Kept as
-    /// the differential oracle and for callers that want the simplest
-    /// redo story (every shared write is idempotent by value).
-    Materialized,
-    /// The (near-)in-place exchange: Fill publishes bucket contents
-    /// directly into the output permutation buffer — equality-bucket
-    /// slots as final values, range-bucket slots carrying a high-bit
-    /// `PENDING` tag — and the shard phase republishes each range unit
-    /// in sorted order over its own slots. The only auxiliary table is
-    /// the `B·P` destination-offset reduction (`aux_bytes ≤ B·P·8`,
-    /// pinned in-binary by E26f); the N-sized intermediate is never
-    /// allocated. Crash/redo safety comes from a monotone slot
-    /// protocol rather than idempotent-by-value writes: slots move
-    /// `empty → fill value → final value` only (fills are
-    /// CAS-from-empty so a preempted filler can never resurrect a
-    /// stale value over a final one), a redone unit whose snapshot is
-    /// all-final is skipped, and a unit caught mid-publication
-    /// (mixed tags — its claimant crashed or is racing) is rebuilt
-    /// from the stable classification, never from the torn slots.
-    InPlace,
-}
-
-/// The input size at or past which [`PartitionStrategy::Auto`] resolves
-/// to the in-place exchange: 65 536 keys. Below it the N-word
-/// intermediate is at most 512 KiB and the materialized path's plain
-/// stores beat the in-place fill's CAS protocol; past it the dropped
-/// N-word allocation and the skipped equality-unit republication win
-/// on footprint and traffic (the E26f ledger measures both sides).
-pub const IN_PLACE_AUTO_MIN: usize = 1 << 16;
-
-/// High bit of an output-permutation slot under
-/// [`PartitionStrategy::InPlace`]: set on values the fill phase stages
-/// for a *range* bucket (fill order, awaiting the shard phase's sorted
-/// republication), clear on final values. The monotone
-/// `empty → PENDING-tagged → final` slot lifecycle is what lets a
-/// redoing survivor classify a unit's state from one read sweep.
-const PENDING: usize = 1 << (usize::BITS - 1);
-
-/// How many slots an in-place publication loop writes between
-/// `keep_going` consults — keeps the work between checkpoints bounded
-/// (the wait-free contract) and gives chaos scripts real windows to
-/// crash a worker *mid-unit*, which is exactly the torn state the
-/// mixed-tag recovery path exists for.
-const PUBLISH_CONSULT_EVERY: usize = 64;
-
 /// Robustness knobs for the sharded path. [`crate::SortOptions`] is the
 /// builder surface; raw construction goes through
 /// [`ShardedSortJob::with_config`].
@@ -244,11 +181,6 @@ pub struct ShardConfig {
     /// is valid (the default `Auto` resolves by splitter count at
     /// construction), so normalization passes it through.
     pub classify_kernel: ClassifyKernel,
-    /// How the Fill phase stages the permutation (see
-    /// [`PartitionStrategy`]). Every value is valid (the default `Auto`
-    /// resolves by input size at construction), so normalization passes
-    /// it through.
-    pub partition_strategy: PartitionStrategy,
 }
 
 impl Default for ShardConfig {
@@ -257,7 +189,6 @@ impl Default for ShardConfig {
             overpartition_factor: 8,
             max_shard_imbalance: 2.0,
             classify_kernel: ClassifyKernel::Auto,
-            partition_strategy: PartitionStrategy::Auto,
         }
     }
 }
@@ -279,7 +210,6 @@ impl ShardConfig {
                 2.0
             },
             classify_kernel: self.classify_kernel,
-            partition_strategy: self.partition_strategy,
         }
     }
 }
@@ -462,10 +392,6 @@ fn sample_splitters<K: Ord + Clone>(keys: &[K], shards: usize, factor: usize) ->
 struct WorkUnit {
     lo: usize,
     hi: usize,
-    /// The bucket this unit is a span of. The in-place recovery path
-    /// uses it to rebuild the unit's element set from the stable
-    /// classification when the slots themselves are torn.
-    piece: usize,
     /// Equality units hold one key value, so the bucket order (original
     /// index order) is already the stable sorted order.
     equality: bool,
@@ -474,29 +400,6 @@ struct WorkUnit {
 impl WorkUnit {
     fn len(&self) -> usize {
         self.hi - self.lo
-    }
-}
-
-/// Forwards the shard phase's own consults — one per unit boundary, one
-/// per [`PUBLISH_CONSULT_EVERY`] in-place publication slots — to the
-/// outer [`Participation`], latching any abandonment so (a) the rest of
-/// the shard is skipped and (b) the shard WAT sees the signal at its
-/// publish gate and leaves the half-done shard's leaf unmarked.
-struct ForwardAbandon<'a, 'p, P: Participation> {
-    outer: &'a RefCell<&'p mut P>,
-    abandoned: &'a Cell<bool>,
-}
-
-impl<P: Participation> Participation for ForwardAbandon<'_, '_, P> {
-    fn keep_going(&mut self) -> bool {
-        if self.abandoned.get() {
-            return false;
-        }
-        let ok = self.outer.borrow_mut().keep_going();
-        if !ok {
-            self.abandoned.set(true);
-        }
-        ok
     }
 }
 
@@ -576,33 +479,18 @@ pub struct ShardedSortJob<K: Ord> {
     /// `bucket[d]` = 1-based element index occupying bucket slot `d`;
     /// bucket `p` owns the contiguous slots `starts[p]..starts[p + 1]`,
     /// filled in original-index order (benign race, like `piece_of`).
-    /// Only allocated under [`PartitionStrategy::Materialized`]; the
-    /// in-place strategy stages bucket contents directly in `out_perm`
-    /// behind the `PENDING` tag and leaves this empty — that dropped
-    /// N-word allocation is the strategy's whole point.
+    /// The shard phase reads each unit's span of this stable staging
+    /// array and publishes into `out_perm`.
     bucket: Vec<AtomicUsize>,
     /// `out_perm[r]` = 1-based element index with rank `r + 1` — the
-    /// same contract as [`crate::SortJob`]'s permutation. Under
-    /// [`PartitionStrategy::InPlace`] the slots double as the fill
-    /// staging area (monotone `empty → PENDING-tagged fill value →
-    /// final value` lifecycle); completion guarantees every tag is
-    /// gone.
+    /// same contract as [`crate::SortJob`]'s permutation. Written only
+    /// by unit publication (benign race: every publisher of a unit
+    /// stores the same values).
     out_perm: Vec<AtomicUsize>,
-    /// The resolved [`PartitionStrategy`] — never `Auto`.
-    strategy: PartitionStrategy,
     /// Telemetry: element moves actually performed — every store of an
-    /// element entry into the bucket intermediate or the output
-    /// permutation, redone work included. The materialized strategy
-    /// pays `2N` in a crash-free run (fill + republication); in-place
-    /// pays `N` plus only the *range*-unit republications (equality
-    /// units are final at fill time), which E26f measures side by side.
+    /// element entry into `bucket` or `out_perm`, redone work included:
+    /// `2N` in a crash-free run (fill, then publication).
     moves: AtomicU64,
-    /// Telemetry: in-place units whose slots were caught mid-publication
-    /// (mixed fill/final tags after a claimant crashed or raced) and
-    /// were rebuilt from the stable classification. Zero in any
-    /// crash-free single-threaded run; the abandonment suite drives it
-    /// positive on purpose.
-    cycle_restarts: AtomicU64,
     /// Telemetry only: how many times each shard's sort closure was
     /// entered (redos and racing double claims included).
     shard_claims: Vec<AtomicU64>,
@@ -684,27 +572,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             }
             k => k,
         };
-        let strategy = match config.partition_strategy {
-            PartitionStrategy::Auto => {
-                if n >= IN_PLACE_AUTO_MIN {
-                    PartitionStrategy::InPlace
-                } else {
-                    PartitionStrategy::Materialized
-                }
-            }
-            s => s,
-        };
-        // The in-place tag rides the slot word's high bit, so 1-based
-        // element indices must stay below it — true for any input that
-        // fits in memory, asserted so the invariant is explicit.
-        assert!(n < PENDING, "element indices must fit under the tag bit");
-        let bucket_len = match strategy {
-            PartitionStrategy::InPlace => 0,
-            _ => n,
-        };
         ShardedSortJob {
             kernel,
-            strategy,
             ladder: SplitterLadder::new(&splitters),
             splitters,
             shards,
@@ -717,10 +586,9 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             shard_wat: PhaseWat::new(allocation, shards, 1),
             piece_of: (0..n).map(|_| AtomicU32::new(0)).collect(),
             block_counts: (0..blocks * pieces).map(|_| AtomicU32::new(0)).collect(),
-            bucket: (0..bucket_len).map(|_| AtomicUsize::new(0)).collect(),
+            bucket: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             out_perm: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             moves: AtomicU64::new(0),
-            cycle_restarts: AtomicU64::new(0),
             shard_claims: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             participants: AtomicUsize::new(0),
             keys,
@@ -815,21 +683,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     /// range, one partition block per WAT job. Returns the bucket start
     /// offsets (`pieces + 1` entries) for the shard phase — a pure
     /// function of the completed classification, so every worker
-    /// computes the same values.
-    ///
-    /// Under [`PartitionStrategy::Materialized`] the destinations are
-    /// `bucket` slots and plain stores suffice (redone blocks rewrite
-    /// identical values). Under [`PartitionStrategy::InPlace`] the
-    /// destinations are the output-permutation slots themselves:
-    /// equality buckets are published as untagged *final* values
-    /// (their fill order is already the stable sorted order, so the
-    /// shard phase never touches them again), range buckets as
-    /// `PENDING`-tagged staging values. In-place fills CAS from the
-    /// empty sentinel instead of storing: a filler preempted before
-    /// its block was redone by survivors — and then finalized by the
-    /// shard phase — must not wake up and resurrect a stale fill value
-    /// over a final one. Every CAS failure is exactly such a benign
-    /// stale redo.
+    /// computes the same values. Destinations are `bucket` slots and
+    /// plain stores suffice: redone blocks rewrite identical values.
     fn fill_phase(
         &self,
         tid: usize,
@@ -838,7 +693,6 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     ) -> Vec<usize> {
         let (starts, offsets) = self.column_offsets(ins);
         let pieces = self.pieces;
-        let in_place = self.strategy == PartitionStrategy::InPlace;
         let fill_block = |blk: usize| {
             // A private cursor copy per invocation keeps redone blocks
             // idempotent: every rerun starts from the same offsets and
@@ -848,26 +702,12 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             let span_len = span.len() as u64;
             for i in span {
                 let piece = self.piece_of[i].load(Ordering::Relaxed) as usize;
-                if in_place {
-                    let value = if piece % 2 == 1 {
-                        i + 1
-                    } else {
-                        (i + 1) | PENDING
-                    };
-                    let _ = self.out_perm[next[piece]].compare_exchange(
-                        0,
-                        value,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    );
-                } else {
-                    self.bucket[next[piece]].store(i + 1, Ordering::Relaxed);
-                }
+                self.bucket[next[piece]].store(i + 1, Ordering::Relaxed);
                 next[piece] += 1;
             }
             self.moves.fetch_add(span_len, Ordering::Relaxed);
-            // Ledger: one `piece_of` read (4 B) and one slot write (8 B)
-            // per element, whichever array the slot lives in.
+            // Ledger: one `piece_of` read (4 B) and one `bucket` write
+            // (8 B) per element.
             ins.bytes(span_len * (4 + 8));
         };
         let keep_going = || {
@@ -883,12 +723,6 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
     /// units — trivial fills for equality chunks, a
     /// [`ShardedSortJob::leaf_sort`] for range buckets — consulting
     /// `keep_going` once at every unit boundary.
-    ///
-    /// Under [`PartitionStrategy::InPlace`] each unit instead runs
-    /// [`ShardedSortJob::publish_unit_in_place`]: the unit's slots are
-    /// both its input and its output, so the per-unit snapshot protocol
-    /// there replaces the stable `bucket` reads of the materialized
-    /// body below.
     fn shard_phase(
         &self,
         tid: usize,
@@ -899,28 +733,26 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
         let assignment = self.assign_units(&self.plan_units(starts));
         let abandoned = Cell::new(false);
         let outer = RefCell::new(p);
-        let mut fwd = ForwardAbandon {
-            outer: &outer,
-            abandoned: &abandoned,
+        // One consult for the unit boundaries and the shard WAT. It
+        // latches an abandonment, so (a) the rest of the shard is
+        // skipped and (b) the WAT sees the signal at its publish gate
+        // and leaves the half-done shard's leaf unmarked.
+        let consult = || {
+            ins.checkpoint();
+            let ok = !abandoned.get() && outer.borrow_mut().keep_going();
+            abandoned.set(!ok);
+            ok
         };
         // Per-worker buffers reused across every unit this worker
         // publishes, each bounded by the largest unit: the unit's
         // element indices and the leaf sort's `(key, index)` pairs.
         let mut order: Vec<usize> = Vec::new();
         let mut pairs: Vec<(K, usize)> = Vec::new();
-        let in_place = self.strategy == PartitionStrategy::InPlace;
         let sort_shard = |shard: usize| {
             self.shard_claims[shard].fetch_add(1, Ordering::Relaxed);
             for unit in &assignment[shard] {
-                ins.checkpoint();
-                if !fwd.keep_going() {
+                if !consult() {
                     return;
-                }
-                if in_place {
-                    if !self.publish_unit_in_place(unit, &mut fwd, &mut order, &mut pairs, ins) {
-                        return;
-                    }
-                    continue;
                 }
                 let (lo, hi) = (unit.lo, unit.hi);
                 order.clear();
@@ -944,12 +776,8 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
                 ins.bytes((hi - lo) as u64 * 16);
             }
         };
-        let keep_going = || {
-            ins.checkpoint();
-            !abandoned.get() && outer.borrow_mut().keep_going()
-        };
         self.shard_wat
-            .participate_with(tid, sort_shard, keep_going, ins);
+            .participate_with(tid, sort_shard, &consult, ins);
     }
 
     /// The leaf sort: reorders one range unit's fill order — 1-based
@@ -976,136 +804,6 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
         for (slot, (_, i)) in order.iter_mut().zip(pairs.drain(..)) {
             *slot = i;
         }
-    }
-
-    /// One work unit under [`PartitionStrategy::InPlace`]. The unit's
-    /// output-permutation slots are both its input and its output, so
-    /// instead of the materialized body's reads from a stable `bucket`
-    /// intermediate, the unit runs a snapshot-classify-republish
-    /// protocol built on the monotone slot lifecycle (`empty →
-    /// PENDING-tagged fill value → final value`, finals deterministic
-    /// and identical across every publisher):
-    ///
-    /// 1. **Snapshot.** One read sweep over the slots. *All tagged* ⇒
-    ///    the snapshot is exactly the pristine fill order (no final
-    ///    write can precede a tagged read of the same slot, and fill
-    ///    values are stable once the fill gate passes). *All untagged*
-    ///    ⇒ a previous claimant finished the unit; skip. *Mixed* ⇒ a
-    ///    claimant crashed (or is racing) mid-publication — final
-    ///    values at unknown positions may duplicate fill values still
-    ///    awaiting overwrite, so the slots are not a usable multiset;
-    ///    rebuild the unit's fill order from the stable classification
-    ///    ([`ShardedSortJob::rebuild_fill_order`], counted in
-    ///    `cycle_restarts`).
-    /// 2. **Sort.** The same [`ShardedSortJob::leaf_sort`] as the
-    ///    materialized path — the snapshot preserves original-index
-    ///    order within the bucket, so ties break identically.
-    /// 3. **Republish.** Final values are stored untagged, with a
-    ///    `keep_going` consult every [`PUBLISH_CONSULT_EVERY`] slots —
-    ///    a worker crashed inside the loop leaves exactly the mixed
-    ///    state step 1 recovers from, and its WAT leaf unmarked.
-    ///
-    /// Because every final value is a pure function of `(keys,
-    /// classification, unit)`, racing claimants — snapshot-based or
-    /// rebuild-based — write byte-identical finals: the only races
-    /// left are benign again, just at final-value granularity instead
-    /// of fill-value granularity. Returns `false` if the participant
-    /// abandoned mid-unit (callers stop, the shard's leaf stays
-    /// unmarked for survivors).
-    fn publish_unit_in_place(
-        &self,
-        unit: &WorkUnit,
-        p: &mut impl Participation,
-        order: &mut Vec<usize>,
-        pairs: &mut Vec<(K, usize)>,
-        ins: &impl Instrument,
-    ) -> bool {
-        // Equality units were published as final values by the fill
-        // phase itself; there is nothing left to move or verify.
-        if unit.equality {
-            return true;
-        }
-        let (lo, hi) = (unit.lo, unit.hi);
-        let len = hi - lo;
-        order.clear();
-        let mut tagged = 0usize;
-        for slot in &self.out_perm[lo..hi] {
-            let raw = slot.load(Ordering::Acquire);
-            debug_assert_ne!(raw, 0, "the fill gate orders every slot write first");
-            tagged += usize::from(raw & PENDING != 0);
-            order.push(raw & !PENDING);
-        }
-        ins.bytes(len as u64 * 8);
-        if tagged == 0 {
-            return true;
-        }
-        if tagged != len {
-            self.cycle_restarts.fetch_add(1, Ordering::Relaxed);
-            self.rebuild_fill_order(unit.piece, order, ins);
-            debug_assert_eq!(order.len(), len, "stable rebuild spans the unit");
-        }
-        // `order` now holds the unit's fill order — 1-based element
-        // indices, ascending by original index — whichever way it was
-        // obtained.
-        self.leaf_sort(order, pairs, ins);
-        self.publish_final(lo, order, p, ins)
-    }
-
-    /// Rebuilds a range bucket's fill order — 1-based element indices,
-    /// ascending by original index — into `out` from the *stable* side
-    /// of the job (`piece_of` and the fused histograms), never from the
-    /// torn slots. Only blocks whose histogram row shows elements of
-    /// `piece` are scanned, so the cost is bounded by the piece's
-    /// contributing blocks; this is the rare crash/race recovery path,
-    /// not the steady state, and every caller computes the identical
-    /// result (it is a pure function of the completed classification).
-    fn rebuild_fill_order(&self, piece: usize, out: &mut Vec<usize>, ins: &impl Instrument) {
-        out.clear();
-        let pieces = self.pieces;
-        let mut scanned = 0u64;
-        for blk in 0..self.blocks {
-            if self.block_counts[blk * pieces + piece].load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let span = self.block_span(blk);
-            scanned += span.len() as u64;
-            for i in span {
-                if self.piece_of[i].load(Ordering::Relaxed) as usize == piece {
-                    out.push(i + 1);
-                }
-            }
-        }
-        // Histogram row reads plus the contributing blocks' piece_of
-        // sweeps.
-        ins.bytes(self.blocks as u64 * 4 + scanned * 4);
-    }
-
-    /// Publishes `values[r]` into `out_perm[lo + r]` as untagged final
-    /// values, consulting `keep_going` every [`PUBLISH_CONSULT_EVERY`]
-    /// slots so chaos scripts can crash a worker mid-unit. Returns
-    /// `false` on abandonment — the unit is then torn (mixed tags),
-    /// which is exactly the state
-    /// [`ShardedSortJob::publish_unit_in_place`] recovers from on redo.
-    fn publish_final(
-        &self,
-        lo: usize,
-        values: &[usize],
-        p: &mut impl Participation,
-        ins: &impl Instrument,
-    ) -> bool {
-        for (r, &v) in values.iter().enumerate() {
-            debug_assert_eq!(v & PENDING, 0, "finals are untagged");
-            self.out_perm[lo + r].store(v, Ordering::Release);
-            if (r + 1) % PUBLISH_CONSULT_EVERY == 0 {
-                ins.checkpoint();
-                if !p.keep_going() {
-                    return false;
-                }
-            }
-        }
-        self.moves.fetch_add(values.len() as u64, Ordering::Relaxed);
-        ins.bytes(values.len() as u64 * 8);
-        true
     }
 
     /// Classifies every element of partition block `blk` with the
@@ -1242,7 +940,6 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
                         lo: at,
                         hi: end,
                         equality: true,
-                        piece,
                     });
                     at = end;
                 }
@@ -1251,7 +948,6 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
                     lo,
                     hi,
                     equality: false,
-                    piece,
                 });
             }
         }
@@ -1321,20 +1017,10 @@ impl<K: Ord> ShardedSortJob<K> {
         &self.splitters
     }
 
-    /// The [`PartitionStrategy`] the Fill/shard pipeline actually runs:
-    /// [`PartitionStrategy::Auto`] requests read back as the strategy
-    /// they resolved to at construction
-    /// ([`PartitionStrategy::InPlace`] from [`IN_PLACE_AUTO_MIN`]
-    /// elements up), never `Auto` itself.
-    pub fn partition_strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
     /// Auxiliary bytes the Fill/shard pipeline allocates beyond the
     /// output permutation: the `B·P·8` destination-offset table every
-    /// fill participant reduces privately, plus the `n·8` bucket
-    /// intermediate under [`PartitionStrategy::Materialized`] (zero
-    /// in-place — that is the E26f `aux_bytes ≤ B·P·8` pin).
+    /// fill participant reduces privately, plus the `n·8` `bucket`
+    /// staging array.
     pub fn aux_bytes(&self) -> u64 {
         let table = (self.blocks * self.pieces) as u64 * 8;
         table + self.bucket.len() as u64 * 8
@@ -1418,16 +1104,25 @@ impl<K: Ord> ShardedSortJob<K> {
         assert!(self.is_complete(), "sort not complete");
         self.out_perm
             .iter()
-            .map(|slot| {
-                let raw = slot.load(Ordering::Acquire);
-                debug_assert_eq!(
-                    raw & PENDING,
-                    0,
-                    "a complete job holds only final (untagged) values"
-                );
-                raw
-            })
+            .map(|slot| slot.load(Ordering::Acquire))
             .collect()
+    }
+
+    /// Consumes the job and hands back the permutation in `out_perm`'s
+    /// own allocation: the job's other buffers are dropped, and std's
+    /// in-place `collect` reuses the buffer because `AtomicUsize` and
+    /// `usize` share size and alignment — so, unlike
+    /// [`ShardedSortJob::permutation`], no second `n`-word buffer is
+    /// ever live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sort is not complete.
+    pub(crate) fn into_permutation(mut self) -> Vec<usize> {
+        assert!(self.is_complete(), "sort not complete");
+        let out_perm = std::mem::take(&mut self.out_perm);
+        drop(self);
+        out_perm.into_iter().map(AtomicUsize::into_inner).collect()
     }
 
     /// Consumes the job, returning the keys in sorted order.
@@ -1514,10 +1209,9 @@ impl<K: Ord + Clone> ShardedSortJob<K> {
             buckets,
             equality_buckets,
             requested_imbalance: self.config.max_shard_imbalance,
-            strategy: self.strategy,
             aux_bytes: self.aux_bytes(),
             moves: self.moves.load(Ordering::Relaxed),
-            cycle_restarts: self.cycle_restarts.load(Ordering::Relaxed),
+            cycle_restarts: 0,
         }
     }
 }
@@ -1913,155 +1607,36 @@ mod tests {
         }
     }
 
-    fn with_strategy(keys: Vec<u64>, strategy: PartitionStrategy) -> ShardedSortJob<u64> {
-        ShardedSortJob::with_config(
-            keys,
-            NativeAllocation::Deterministic,
-            2,
-            8,
-            ShardConfig {
-                partition_strategy: strategy,
-                ..ShardConfig::default()
-            },
-        )
-    }
-
     #[test]
-    fn in_place_permutation_matches_materialized_across_shapes() {
-        // The differential oracle at unit scale: both strategies must
-        // compute the identical (key, index)-stable permutation on
-        // every shape class the in-place protocol special-cases —
-        // range-heavy, duplicate-heavy (equality units final at fill),
-        // pre-sorted (sorted-run strip publish), and all-equal.
-        let shapes: Vec<(&str, Vec<u64>)> = vec![
-            ("mixed", mixed_keys(700)),
-            ("dupes", (0..700).map(|i| (i * 7) % 13).collect()),
-            ("sorted", (0..700).collect()),
-            ("reversed", (0..700).rev().collect()),
-            ("all_equal", vec![9u64; 700]),
-        ];
-        for (name, keys) in shapes {
-            let mat = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-            mat.run();
-            let inp = with_strategy(keys, PartitionStrategy::InPlace);
-            inp.run();
-            assert_eq!(inp.partition_strategy(), PartitionStrategy::InPlace);
-            assert_eq!(inp.permutation(), mat.permutation(), "{name}");
-            assert_eq!(
-                inp.shard_report().cycle_restarts,
-                0,
-                "{name}: a crash-free single-threaded run never tears a unit"
-            );
-        }
-    }
-
-    #[test]
-    fn in_place_survives_abandonment_at_every_budget() {
-        // The QuitAfter sweep from the materialized suite, on the
-        // in-place path: whatever torn state the quitter leaves — a
-        // half-filled block, a half-published unit — the late joiner
-        // must recover to the exact materialized permutation with no
-        // element duplicated or dropped.
-        let keys = mixed_keys(300);
-        let oracle = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-        oracle.run();
-        let expect = oracle.permutation();
-        for allocation in [
-            NativeAllocation::Deterministic,
-            NativeAllocation::Randomized,
-        ] {
-            for budget in (1..200).step_by(13) {
-                let job = ShardedSortJob::with_config(
-                    keys.clone(),
-                    allocation,
-                    2,
-                    8,
-                    ShardConfig {
-                        partition_strategy: PartitionStrategy::InPlace,
-                        ..ShardConfig::default()
-                    },
-                );
-                job.participate(&mut QuitAfter(budget));
-                job.run();
-                assert!(job.is_complete());
-                assert_eq!(job.permutation(), expect, "{allocation:?} budget {budget}");
-            }
-        }
-    }
-
-    #[test]
-    fn torn_unit_is_rebuilt_and_counted() {
-        // Reproduce exactly the state a worker crashed mid-publication
-        // leaves behind — some of a range unit's slots already final
-        // (untagged), the rest still pending — and pin that the next
-        // claimant refuses the torn snapshot, rebuilds the unit's fill
-        // order from the stable classification, counts the restart,
-        // and still lands on the materialized oracle's permutation.
-        let keys: Vec<u64> = (0..600).rev().collect();
-        let oracle = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-        oracle.run();
-        let job = with_strategy(keys, PartitionStrategy::InPlace);
-        let ins = crate::metrics::NoInstrument;
-        let mut p = RunToCompletion;
-        job.partition_phase(0, &mut p, &ins);
-        assert!(job.partition_done());
-        let starts = job.fill_phase(0, &mut p, &ins);
-        assert!(job.fill_done());
-        let units = job.plan_units(&starts);
-        let unit = units
-            .iter()
-            .find(|u| !u.equality && u.len() > 1)
-            .expect("a reversed input has multi-element range buckets");
-        // Untag the unit's first slot, as the crashed claimant's one
-        // completed final store would have.
-        let raw = job.out_perm[unit.lo].load(Ordering::Relaxed);
-        assert_ne!(raw & PENDING, 0, "range slots leave the fill tagged");
-        job.out_perm[unit.lo].store(raw & !PENDING, Ordering::Relaxed);
-        job.run();
-        assert!(job.is_complete());
-        let report = job.shard_report();
-        assert!(
-            report.cycle_restarts >= 1,
-            "the mixed-tag unit must be detected and rebuilt"
-        );
-        assert_eq!(job.permutation(), oracle.permutation());
-    }
-
-    #[test]
-    fn auto_strategy_resolves_by_input_size() {
-        let small = ShardedSortJob::new(mixed_keys(500), 8);
+    fn aux_bytes_are_the_offsets_table_plus_the_bucket_array() {
+        let job = ShardedSortJob::new(mixed_keys(2000), 8);
+        let table = (job.partition_blocks() * job.buckets()) as u64 * 8;
         assert_eq!(
-            small.partition_strategy(),
-            PartitionStrategy::Materialized,
-            "below IN_PLACE_AUTO_MIN Auto keeps the bucket intermediate"
-        );
-        let large = ShardedSortJob::new(mixed_keys(IN_PLACE_AUTO_MIN), 8);
-        assert_eq!(large.partition_strategy(), PartitionStrategy::InPlace);
-        large.run();
-        let mut expect: Vec<u64> = mixed_keys(IN_PLACE_AUTO_MIN);
-        expect.sort_unstable();
-        assert_eq!(large.into_sorted(), expect);
-    }
-
-    #[test]
-    fn aux_bytes_drop_to_the_offsets_table_in_place() {
-        let keys = mixed_keys(2000);
-        let mat = with_strategy(keys.clone(), PartitionStrategy::Materialized);
-        let inp = with_strategy(keys, PartitionStrategy::InPlace);
-        let table = (inp.partition_blocks() * inp.buckets()) as u64 * 8;
-        assert_eq!(inp.aux_bytes(), table, "in-place: offsets table only");
-        assert_eq!(
-            mat.aux_bytes(),
+            job.aux_bytes(),
             table + 2000 * 8,
-            "materialized adds the n-slot bucket intermediate"
+            "the B·P offsets table plus the n-slot bucket array"
         );
-        inp.run();
-        let report = inp.shard_report();
-        assert_eq!(report.strategy, PartitionStrategy::InPlace);
-        assert_eq!(report.aux_bytes, table);
-        assert!(
-            report.moves >= 2000,
-            "every element moves at least once through the fill"
+        job.run();
+        let report = job.shard_report();
+        assert_eq!(report.aux_bytes, job.aux_bytes());
+        assert_eq!(
+            report.moves,
+            2 * 2000,
+            "a crash-free lone run moves every element twice: fill, then publication"
         );
+        assert_eq!(report.cycle_restarts, 0);
+    }
+
+    #[test]
+    fn into_permutation_hands_back_the_output_buffer() {
+        // The one-shot front end returns `out_perm`'s own allocation: a
+        // copy here would put a second n-word buffer on the peak.
+        let job = ShardedSortJob::new(mixed_keys(3000), 8);
+        job.run();
+        let expect = job.permutation();
+        let buffer = job.out_perm.as_ptr() as usize;
+        let perm = job.into_permutation();
+        assert_eq!(perm.as_ptr() as usize, buffer, "the permutation was copied");
+        assert_eq!(perm, expect);
     }
 }

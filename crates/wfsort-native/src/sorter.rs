@@ -57,7 +57,7 @@ enum ShardMode {
 /// [`ChaosPlan`], a helper deadline, and telemetry — all driving the same
 /// cohort spawn/finish path. The sharded path always runs
 /// [`ShardConfig::default`]; a caller that tunes the splitter sampler,
-/// the classify kernel or the partition strategy builds its own job with
+/// the balance target or the classify kernel builds its own job with
 /// [`ShardedSortJob::with_config`].
 ///
 /// Unlike the raw job constructors, the builder is total over its
@@ -262,7 +262,7 @@ impl SortOptions {
                 let job =
                     ShardedSortJob::with_workers(keys.to_vec(), self.allocation, tracked, shards);
                 let report = self.drive(&job);
-                (job.permutation(), report)
+                (job.into_permutation(), report)
             }
             None => {
                 let grain = self

@@ -11,8 +11,8 @@ use rng::Rng;
 
 use wait_free_sort::testshapes::{self, check_property, Case};
 use wait_free_sort::wfsort_native::{
-    piece_by_search, NativeAllocation, PartitionStrategy, QuitAfter, ShardConfig, ShardedSortJob,
-    SortJob, SortOptions, SplitterLadder,
+    piece_by_search, NativeAllocation, QuitAfter, ShardConfig, ShardedSortJob, SortJob,
+    SortOptions, SplitterLadder,
 };
 
 /// One named shape from the shared adversarial battery, at a drawn size
@@ -24,15 +24,6 @@ fn adversarial_keys(case: &mut Case) -> (&'static str, Vec<u64>) {
     testshapes::adversarial_suite(n, seed).swap_remove(shape)
 }
 
-/// A partition strategy, either one equally likely.
-fn strategy(case: &mut Case) -> PartitionStrategy {
-    if case.gen::<bool>() {
-        PartitionStrategy::InPlace
-    } else {
-        PartitionStrategy::Materialized
-    }
-}
-
 /// The single-tree permutation of `keys`: the oracle every sharded run
 /// must reproduce exactly.
 fn single_tree_permutation(keys: &[u64]) -> Vec<usize> {
@@ -42,10 +33,9 @@ fn single_tree_permutation(keys: &[u64]) -> Vec<usize> {
 }
 
 /// Every shape in the shared adversarial battery, under arbitrary shard
-/// counts, arbitrary (possibly degenerate) robustness knobs, and either
-/// partition strategy, still computes exactly the single-tree
-/// permutation — the knobs tune balance and memory traffic, never the
-/// output.
+/// counts and arbitrary (possibly degenerate) robustness knobs, still
+/// computes exactly the single-tree permutation — the knobs tune
+/// balance, never the output.
 #[test]
 fn adversarial_shapes_match_single_tree_under_any_config() {
     check_property(48, |case| {
@@ -53,12 +43,10 @@ fn adversarial_shapes_match_single_tree_under_any_config() {
         let shards = case.gen_range(1usize..40);
         let factor = case.gen_range(0usize..12);
         let tau_tenths = case.gen_range(10u32..40);
-        let partition_strategy = strategy(case);
         let expect = single_tree_permutation(&keys);
         let config = ShardConfig {
             overpartition_factor: factor,
             max_shard_imbalance: f64::from(tau_tenths) / 10.0,
-            partition_strategy,
             ..ShardConfig::default()
         };
         let job =
@@ -111,26 +99,15 @@ fn randomized_sharded_permutation_matches_single_tree() {
 /// A quitter abandoning after an arbitrary number of checks leaves a
 /// state from which a late joiner recovers the exact single-tree
 /// permutation — the publish gates make half-done shards invisible, and
-/// under the in-place strategy the mixed-tag snapshot protocol makes
-/// half-published units rebuildable.
+/// every redone block or unit rewrites identical values.
 #[test]
 fn abandoned_sharded_jobs_recover_exactly() {
     check_property(48, |case| {
         let keys = case.vec(2..200, |c| c.gen_range(0u64..32));
         let shards = case.gen_range(1usize..24);
         let budget = case.gen_range(1usize..500);
-        let partition_strategy = strategy(case);
         let expect = single_tree_permutation(&keys);
-        let job = ShardedSortJob::with_config(
-            keys,
-            NativeAllocation::Deterministic,
-            2,
-            shards,
-            ShardConfig {
-                partition_strategy,
-                ..ShardConfig::default()
-            },
-        );
+        let job = ShardedSortJob::with_workers(keys, NativeAllocation::Deterministic, 2, shards);
         job.participate(&mut QuitAfter(budget));
         job.run();
         assert!(job.is_complete());

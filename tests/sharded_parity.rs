@@ -22,8 +22,8 @@ use std::sync::atomic::{self, AtomicU64};
 use wait_free_sort::testshapes;
 use wait_free_sort::wfsort_native::{
     recommended_shards, ChaosParticipation, ChaosPlan, CheckpointCounter, ClassifyKernel,
-    MetricSlot, NativeAllocation, PartitionStrategy, QuitAfter, RunToCompletion, ShardConfig,
-    ShardedSortJob, SortJob, SortOptions,
+    MetricSlot, NativeAllocation, QuitAfter, RunToCompletion, ShardConfig, ShardedSortJob, SortJob,
+    SortOptions,
 };
 
 /// Both explicit classify kernels — every differential sweep that takes
@@ -151,7 +151,6 @@ fn four_thread_runs_agree_across_robustness_configs() {
             overpartition_factor: 1,
             max_shard_imbalance: 1.2,
             classify_kernel: ClassifyKernel::Ladder,
-            ..ShardConfig::default()
         },
     ];
     for (shape, keys) in [
@@ -236,13 +235,11 @@ fn chaos_storms_preserve_parity_on_robust_configs() {
             overpartition_factor: 1,
             max_shard_imbalance: 1.2,
             classify_kernel: ClassifyKernel::Ladder,
-            ..ShardConfig::default()
         },
         ShardConfig {
             overpartition_factor: 2,
             max_shard_imbalance: 1.2,
             classify_kernel: ClassifyKernel::BinarySearch,
-            ..ShardConfig::default()
         },
     ];
     for keys in [testshapes::all_equal(800), testshapes::two_valued(800, 29)] {
@@ -299,13 +296,12 @@ fn solo_checkpoints(job: &ShardedSortJob<u64>) -> usize {
 
 /// Exhaustive abandonment sweep: a quitter abandons after every possible
 /// number of participation checks — counted from one solo run, so every
-/// phase boundary, mid-block point, unit boundary and 64-slot in-place
-/// publish consult is a crash point — and a late joiner must always be
-/// able to finish from exactly that state. The publish gates guarantee
-/// a half-sorted shard was never marked done. Both WAT flavors × both
-/// partition strategies, at the default shape (S = 8: many small units)
-/// and a coarse one (S = 2, factor 1: range units of ~130 keys, so
-/// in-place publication consults mid-unit).
+/// phase boundary, mid-block point and unit boundary is a crash point —
+/// and a late joiner must always be able to finish from exactly that
+/// state. The publish gates guarantee a half-sorted shard was never
+/// marked done. Both WAT flavors, at the default shape (S = 8: many
+/// small units) and a coarse one (S = 2, factor 1: range units of ~130
+/// keys, so one consult covers a long leaf sort).
 #[test]
 fn every_abandonment_point_is_recoverable_by_a_late_joiner() {
     let keys = testshapes::uniform(400, 30);
@@ -314,33 +310,30 @@ fn every_abandonment_point_is_recoverable_by_a_late_joiner() {
         NativeAllocation::Deterministic,
         NativeAllocation::Randomized,
     ] {
-        for strategy in [PartitionStrategy::Materialized, PartitionStrategy::InPlace] {
-            for (shards, factor) in [(8usize, 0usize), (2, 1)] {
-                let make = || {
-                    ShardedSortJob::with_config(
-                        keys.clone(),
-                        allocation,
-                        2,
-                        shards,
-                        ShardConfig {
-                            overpartition_factor: factor,
-                            partition_strategy: strategy,
-                            ..ShardConfig::default()
-                        },
-                    )
-                };
-                let case = format!("{allocation:?} {strategy:?} S={shards} k={factor}");
-                for budget in 1..=solo_checkpoints(&make()) {
-                    let job = make();
-                    job.participate(&mut QuitAfter(budget));
-                    job.run();
-                    assert!(job.is_complete(), "{case} budget {budget}");
-                    assert_eq!(
-                        job.permutation(),
-                        expect,
-                        "{case} budget {budget}: quitter corrupted the sort"
-                    );
-                }
+        for (shards, factor) in [(8usize, 0usize), (2, 1)] {
+            let make = || {
+                ShardedSortJob::with_config(
+                    keys.clone(),
+                    allocation,
+                    2,
+                    shards,
+                    ShardConfig {
+                        overpartition_factor: factor,
+                        ..ShardConfig::default()
+                    },
+                )
+            };
+            let case = format!("{allocation:?} S={shards} k={factor}");
+            for budget in 1..=solo_checkpoints(&make()) {
+                let job = make();
+                job.participate(&mut QuitAfter(budget));
+                job.run();
+                assert!(job.is_complete(), "{case} budget {budget}");
+                assert_eq!(
+                    job.permutation(),
+                    expect,
+                    "{case} budget {budget}: quitter corrupted the sort"
+                );
             }
         }
     }
@@ -599,52 +592,17 @@ fn acceptance_shapes_at_one_million_meet_the_balance_bound() {
     }
 }
 
-/// The in-place Fill against its materialized differential oracle over
-/// the full adversarial battery: [`PartitionStrategy`] trades auxiliary
-/// memory against republication work, never an output byte, so the two
-/// permutations must be bit-identical on every shape and shard count —
-/// including the duplicate floods whose equality buckets the in-place
-/// fill publishes as final values without any shard-phase pass.
+/// No element duplicated, none dropped: a worker abandoned at any
+/// checkpoint — mid-classification, mid-fill-block (part of a block's
+/// `bucket` slots written), or between the units of a claimed shard —
+/// must leave a state from which survivors redo the block or shard
+/// whole. The bijection check is the direct no-dup/no-drop pin; the
+/// oracle equality pins the order on top. Swept over both WAT flavors ×
+/// both classify kernels, with the quit budget walking through every
+/// checkpoint of a solo run — the only sweep that runs the randomized
+/// flavor at every budget.
 #[test]
-fn in_place_strategy_is_bit_identical_across_the_adversarial_battery() {
-    for (shape, keys) in testshapes::adversarial_suite(900, 36) {
-        let expect = stable_permutation(&keys);
-        for shards in SHARD_SWEEP {
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                NativeAllocation::Deterministic,
-                1,
-                shards,
-                ShardConfig {
-                    partition_strategy: PartitionStrategy::InPlace,
-                    ..ShardConfig::default()
-                },
-            );
-            job.run();
-            assert_eq!(
-                job.permutation(),
-                expect,
-                "{shape}: in-place S={shards} diverged from the stable oracle"
-            );
-        }
-    }
-}
-
-/// Red-first regression for ISSUE-10's in-place abandonment story: a
-/// worker crashed mid-cycle — mid-fill-block (half the unit's slots
-/// still empty), or mid-publication (mixed pending/final tags) — must
-/// leave a state from which survivors redo the block whole, with **no
-/// element duplicated and none dropped**. The permutation-is-a-bijection
-/// check is the direct no-dup/no-drop pin; the oracle equality pins the
-/// order on top. Swept over both WAT flavors × both classify kernels,
-/// with the quit budget walking through every checkpoint of a solo run.
-///
-/// Red-first: against a strawman in-place fill that used plain stores
-/// instead of CAS-from-empty, a preempted filler waking after survivors
-/// finalized the unit resurrects its stale fill value over a final one —
-/// the bijection check catches exactly that duplicate/drop pair.
-#[test]
-fn in_place_abandonment_never_duplicates_or_drops_an_element() {
+fn abandonment_never_duplicates_or_drops_an_element() {
     let keys = testshapes::runs_of_duplicates(400, 11, 37);
     let expect = stable_permutation(&keys);
     for allocation in [
@@ -659,7 +617,6 @@ fn in_place_abandonment_never_duplicates_or_drops_an_element() {
                     2,
                     8,
                     ShardConfig {
-                        partition_strategy: PartitionStrategy::InPlace,
                         classify_kernel: kernel,
                         ..ShardConfig::default()
                     },
@@ -688,86 +645,6 @@ fn in_place_abandonment_never_duplicates_or_drops_an_element() {
                     "{allocation:?} {kernel:?} budget {budget}: order diverged"
                 );
             }
-        }
-    }
-}
-
-/// Chaos storms on the in-place path: seeded plans reap 75% of a
-/// 4-worker cohort at random checkpoints, so crash points land inside
-/// fill CAS loops and mid-publication windows; survivors must rebuild
-/// every torn unit and still produce the stable permutation. The
-/// duplicate-flood shape routes most elements through equality buckets
-/// (final at fill), leaving the range units small and tearable.
-#[test]
-fn chaos_storms_preserve_parity_in_place() {
-    let keys = testshapes::few_distinct(800, 64, 38);
-    let expect = stable_permutation(&keys);
-    for shards in [2usize, 8] {
-        for seed in 0..15u64 {
-            let plan = ChaosPlan::random_crashes(4, 0.75, 150, seed);
-            assert!(plan.survivors() >= 1, "seed {seed}: no survivor");
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                NativeAllocation::Deterministic,
-                plan.workers(),
-                shards,
-                ShardConfig {
-                    partition_strategy: PartitionStrategy::InPlace,
-                    ..ShardConfig::default()
-                },
-            );
-            std::thread::scope(|s| {
-                for w in 0..plan.workers() {
-                    let (job, plan) = (&job, &plan);
-                    s.spawn(move || job.participate(&mut ChaosParticipation::new(plan, w)));
-                }
-            });
-            assert!(job.is_complete(), "S={shards} seed {seed}");
-            assert_eq!(
-                job.permutation(),
-                expect,
-                "S={shards} seed {seed}: storm changed the in-place permutation"
-            );
-        }
-    }
-}
-
-/// Four racing live threads — no crashes, just races — on the in-place
-/// path: two claimants publishing the same unit concurrently write
-/// byte-identical final values, so the permutation stays a pure function
-/// of the keys under any interleaving.
-#[test]
-fn racing_threads_agree_in_place() {
-    for (shape, keys) in [
-        ("uniform-random", testshapes::uniform(2_000, 39)),
-        ("two-valued", testshapes::two_valued(2_000, 39)),
-    ] {
-        let expect = stable_permutation(&keys);
-        for allocation in [
-            NativeAllocation::Deterministic,
-            NativeAllocation::Randomized,
-        ] {
-            let job = ShardedSortJob::with_config(
-                keys.clone(),
-                allocation,
-                4,
-                8,
-                ShardConfig {
-                    partition_strategy: PartitionStrategy::InPlace,
-                    ..ShardConfig::default()
-                },
-            );
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    let job = &job;
-                    s.spawn(move || job.run());
-                }
-            });
-            assert_eq!(
-                job.permutation(),
-                expect,
-                "{shape}: {allocation:?} diverged under 4 racing in-place threads"
-            );
         }
     }
 }
